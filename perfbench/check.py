@@ -31,6 +31,8 @@ class Checker:
         self._fingerprints: Dict[Tuple, str] = {}
         self.allow_recalibrated = allow_recalibrated
         self.recalibrated = 0
+        #: Recalibrated menu fingerprint -> confidence per cardinality seen.
+        self._in_force: Dict[str, Dict[int, float]] = {}
 
     # -- the reference ---------------------------------------------------------
 
@@ -104,7 +106,15 @@ class Checker:
         if recalibrated:
             # Served under a recalibrated menu the benchmark cannot see in
             # full: feasibility under the confidences in force is checked
-            # above, the reference cost is not comparable.
+            # above, and every response of one recalibrated problem must
+            # carry the same confidence per cardinality.  The reference cost
+            # is not comparable.
+            in_force = self._in_force.setdefault(response["problem_fingerprint"], {})
+            for posting in plan["assignments"]:
+                seen = in_force.setdefault(posting["cardinality"], posting["confidence"])
+                if seen != posting["confidence"]:
+                    return (f"confidence {posting['confidence']} for {posting['cardinality']} "
+                            f"differs from {seen} under the same recalibrated menu")
             self.recalibrated += 1
             return None
         expected = self.reference_cost(job)
@@ -122,6 +132,7 @@ def plan_problems(
     n = len(thresholds)
     miss = [1.0] * n
     cost_sum = 0.0
+    in_force: Dict[int, float] = {}
     for posting in plan.get("assignments", ()):
         cardinality = posting["cardinality"]
         confidence = posting["confidence"]
@@ -130,6 +141,8 @@ def plan_problems(
             return f"posting on a bin outside the menu: {cardinality}"
         if confidence != menu[cardinality][0] and not (recalibrated and 0 < confidence < 1):
             return f"posting confidence {confidence} not in force for {cardinality}"
+        if in_force.setdefault(cardinality, confidence) != confidence:
+            return f"two confidences for cardinality {cardinality} in one plan"
         if not ids or len(ids) > cardinality:
             return f"posting holds {len(ids)} tasks in a bin of {cardinality}"
         cost_sum += posting["cost"]
@@ -173,6 +186,13 @@ def self_test() -> None:
     total = sum(entry["cost"] for entry in dropped["assignments"])
     if plan_problems(job, dropped, total) is None:
         raise RuntimeError("checker self-test: a plan with a posting dropped passed")
+    # Under a recalibrated menu one cardinality still has one confidence.
+    first = body["assignments"][0]
+    split = dict(body, assignments=body["assignments"] + [
+        dict(first, confidence=first["confidence"] - 0.01)])
+    total = sum(entry["cost"] for entry in split["assignments"])
+    if plan_problems(job, split, total, recalibrated=True) is None:
+        raise RuntimeError("checker self-test: two confidences for one cardinality passed")
 
 
 def check_all(checker: Checker, records: List) -> Tuple[int, List[str]]:

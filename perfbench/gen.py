@@ -1,4 +1,4 @@
-"""Seeded request generators for the benchmark's four workloads.
+"""Seeded request generators for the benchmark's three workloads.
 
 The menus are frozen here as literals (Table 1 of the paper, and the
 Jelly/SMIC menus at maximum cardinality 20), so a change to
@@ -158,6 +158,24 @@ def poisson_offsets(rng: random.Random, rate: float, duration: float) -> List[fl
     return offsets
 
 
+def ladder_offsets(rate: float, duration: float) -> List[float]:
+    """Arrival offsets of one capacity-ladder probe at ``rate`` over ``duration``.
+
+    Every rung replays the same unit-rate Poisson trace, compressed to its
+    rate, so rungs differ in rate only.  With a trace of its own per rung, a
+    rung whose trace bunched late failed the backlog test on every run at
+    any service speed, and the reported capacity hinged on whether the
+    staircase stepped on it.
+    """
+    rng = stream("trace", "ladder", "arrivals")
+    offsets = []
+    at = rng.expovariate(1.0)
+    while at < rate * duration:
+        offsets.append(at / rate)
+        at += rng.expovariate(1.0)
+    return offsets
+
+
 def quota_choice(rng: random.Random, items: Sequence, weights: Sequence[float],
                  count: int) -> List:
     """``count`` picks from ``items`` in proportion to ``weights``, shuffled."""
@@ -201,26 +219,6 @@ class HotKeys:
         return [
             solve_job(f"{prefix}-{i}", name, MENUS[name], n, threshold)
             for i, ((name, threshold), n) in enumerate(zip(keys, small_sizes(rng, count)))
-        ]
-
-
-class ColdKeys:
-    """cold-churn: every request a fresh (menu, threshold)."""
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-
-    def warmup(self, prefix: str) -> List[Job]:
-        return self.jobs(stream(self.seed, "cold-warmup"), prefix, 20)
-
-    def jobs(self, rng: random.Random, prefix: str, count: int) -> List[Job]:
-        names = quota_choice(rng, ("jelly20", "smic20"), (1.0, 1.0), count)
-        sizes = small_sizes(rng, count)
-        cards = [10 + int(u * 11) for u in stratified(rng, count)]
-        thresholds = [0.80 + 0.17 * u for u in stratified(rng, count)]
-        return [
-            solve_job(f"{prefix}-{i}", f"{name}/{card}", MENUS[name][:card], n, threshold)
-            for i, (name, card, n, threshold) in enumerate(zip(names, cards, sizes, thresholds))
         ]
 
 

@@ -39,7 +39,7 @@ from check import Checker, check_all, self_test  # noqa: E402
 from spans import Tracer, layer_times, replay  # noqa: E402
 from wire import Connection, ServerProcess, get_json  # noqa: E402
 
-WORKLOADS = ("hot-small", "cold-churn", "large-n", "drift-feedback")
+WORKLOADS = ("hot-small", "large-n", "drift-feedback")
 #: The p99 latency limit of the capacity ladder.
 LATENCY_LIMIT_MS = 100.0
 #: Adjacent ladder rungs differ by this factor (at most 10% apart).
@@ -56,6 +56,9 @@ PINNED_SHARE = 0.6
 SETUP_SPAWNS = 3
 #: Generator lag above this share of the latency limit flags the run.
 GEN_LAG_SHARE = 0.1
+#: CPU steal above this share of busy CPU time flags the run: the host was
+#: contended, and latency and rate metrics spread beyond their bounds.
+STEAL_SHARE_LIMIT = 0.1
 #: Keep-alive connections (the sizing machine has nproc = 2).
 CONNECTIONS = max(1, min(2, os.cpu_count() or 1))
 #: Solve jobs replayed in process by the traced run.
@@ -160,17 +163,15 @@ async def closed_loop(conn: Connection, jobs: List[gen.Job]) -> List[Record]:
 
 
 class OpenWorkload:
-    """Arrival schedules of the three open-loop workloads."""
+    """Arrival schedules of the two open-loop workloads."""
 
     def __init__(self, name: str, seed: int) -> None:
         self.name = name
         self.seed = seed
         if name == "hot-small":
             self.keys = gen.HotKeys(seed, ("table1", "jelly20", "smic20"), 8)
-        elif name == "drift-feedback":
-            self.keys = gen.HotKeys(seed, ("jelly20", "smic20"), 6)
         else:
-            self.keys = gen.ColdKeys(seed)
+            self.keys = gen.HotKeys(seed, ("jelly20", "smic20"), 6)
 
     def warmup(self) -> List[gen.Job]:
         return self.keys.warmup(f"{self.name}-warm")
@@ -180,9 +181,11 @@ class OpenWorkload:
     ) -> List[Tuple[float, gen.Job]]:
         # One fixed arrival trace per phase for every seed: runs differ in
         # request content, not in how the Poisson arrivals happen to bunch.
-        arrivals_rng = gen.stream("trace", phase, "arrivals")
+        if phase.startswith("ladder"):
+            offsets = gen.ladder_offsets(rate, duration)
+        else:
+            offsets = gen.poisson_offsets(gen.stream("trace", phase, "arrivals"), rate, duration)
         content_rng = gen.stream(self.seed, phase, "content")
-        offsets = gen.poisson_offsets(arrivals_rng, rate, duration)
         arrivals = list(zip(offsets, self.keys.jobs(content_rng, phase, len(offsets))))
         if self.name == "drift-feedback":
             feedback_rng = gen.stream(self.seed, phase, "feedback")
@@ -451,7 +454,8 @@ class Run:
         self.say("env: " + json.dumps(env, sort_keys=True))
         cpu_before = cpu_times()
         self_test()
-        self.say("checker self-test: a plan with one posting dropped is flagged")
+        self.say("checker self-test: a plan with one posting dropped, or with two "
+                 "confidences for one cardinality, is flagged")
         try:
             setup_s = self.setup()
             records, metrics, extra = asyncio.run(self.drive())
@@ -461,8 +465,14 @@ class Run:
         spent = [after - before for before, after in zip(cpu_before, cpu_times())]
         # Share of CPU time the hypervisor gave to other guests while this
         # run wanted it: a contended host shows here, not in the metrics.
-        env["cpu_steal_share"] = round(spent[7] / max(sum(spent) - spent[3], 1), 3)
-        self.say(f"host: {env['cpu_steal_share']:.1%} of busy CPU time stolen during the run")
+        steal = spent[7] / max(sum(spent) - spent[3], 1)
+        env["cpu_steal_share"] = round(steal, 3)
+        self.say(f"host: {steal:.1%} of busy CPU time stolen during the run")
+        flags: List[str] = []
+        if steal > STEAL_SHARE_LIMIT:
+            flags.append("cpu-steal")
+            self.say(f"WARNING CPU steal {steal:.1%} exceeds {STEAL_SHARE_LIMIT:.0%} of busy "
+                     "CPU time: the host was contended, figures may spread past their bounds")
         checked = extra["pinned"] + extra.get("ladder", [])
         checker = Checker(allow_recalibrated=self.workload == "drift-feedback")
         failed, reasons = check_all(checker, checked)
@@ -471,10 +481,13 @@ class Run:
         attempted = len(checked)
         lag_p99 = percentile(extra["lags"], 99)
         if lag_p99 > GEN_LAG_SHARE * LATENCY_LIMIT_MS:
+            flags.append("generator-lag")
             self.say(f"WARNING generator lag p99 {lag_p99:.2f} ms exceeds "
                      f"{GEN_LAG_SHARE:.0%} of the {LATENCY_LIMIT_MS:.0f} ms limit")
         if self.trace:
             values = self.per_layer(records, extra)
+            values["host.steal_share"] = steal
+            values["check.recalibrated"] = float(checker.recalibrated)
             units = {name: unit for name, unit in PER_LAYER}
             result_metrics = {k: {"value": v, "unit": units[k]} for k, v in values.items()}
         else:
@@ -493,7 +506,8 @@ class Run:
             "metrics": result_metrics,
         }
         with open(self.out / f"result-{self.tag}.json", "w") as out:
-            json.dump({"env": env, "log": self.lines, "result": result}, out, indent=1)
+            json.dump({"env": env, "flags": flags, "recalibrated": checker.recalibrated,
+                       "log": self.lines, "result": result}, out, indent=1)
         if self.tracer is not None:
             self.tracer.write(self.out / f"spans-{self.tag}.jsonl")
         return result
@@ -533,8 +547,6 @@ class Run:
         ]
 
         sample = [r.job for r in solves][:REPLAY_JOBS]
-        if self.workload == "large-n":
-            sample = sample[: len(gen.large_n_sequence(self.seed))]
         cache = PlanCache()
         if self.workload in ("hot-small", "drift-feedback"):
             replay(sample, Tracer(), cache)  # fill the cache, as warm-up does
@@ -544,10 +556,11 @@ class Run:
         times = layer_times(replay_tracer, {job.rid: job for job in sample})
         # Pair each replayed request with its own response, where both took
         # the same path: the same problem (no recalibrated menu) and the same
-        # cache outcome.  The solver's timer (solve_seconds) spans exactly
-        # the replayed cache lookup, cover and verify; the rest of the
-        # facade is facade.self_ms.
-        children = self._per_request(replay_tracer, ("cache", "cover", "verify"))
+        # cache outcome.  The solver's timer (solve_seconds) spans the cache
+        # lookup and the cover only; verify runs after it stops (twice: the
+        # solver's require_feasible and the facade's result.feasible), so it
+        # falls in facade.self_ms with the rest of the facade.
+        children = self._per_request(replay_tracer, ("cache", "cover"))
         replies = {r.job.rid: r.reply for r in solves}
         ratios = [
             children[rid] / (replies[rid]["solve_seconds"] * 1000.0)
@@ -559,7 +572,7 @@ class Run:
         ratio = median(ratios)
         within = RECON_TOLERANCE[0] <= ratio <= RECON_TOLERANCE[1]
         self.say(f"  reconciliation: {violations} responses break latency >= elapsed >= "
-                 f"solve; replayed cache + cover + verify / the same request's "
+                 f"solve; replayed cache + cover / the same request's "
                  f"solve_seconds = {ratio:.3f} over {len(ratios)} requests "
                  f"({'within' if within else 'OUTSIDE'} {RECON_TOLERANCE})")
 
@@ -692,13 +705,13 @@ PER_LAYER = tuple(
         "transport.non200", "admission.admitted", "admission.rejected", "queue.flushes",
         "cache.hits", "cache.misses", "cache.curve_seeds", "cache.partial_hits",
         "cache.coalesced_waits", "drift.recalibrations", "drift.false_recalibrations",
-        "drift.invalidated_keys", "recon.order_violations",
+        "drift.invalidated_keys", "recon.order_violations", "check.recalibrated",
     )]
     + [("queue.batch_size.mean", "requests"), ("cache.hit_ratio", "ratio"),
        ("build.frontier_size.mean", "elements"), ("build.total_s", "s"),
        ("cover.postings", "postings"), ("encode.bytes.mean", "bytes"),
        ("drift.detect_lag_s", "s"), ("drift.underpriced_frac", "ratio"),
-       ("recon.facade_ratio", "ratio")]
+       ("recon.facade_ratio", "ratio"), ("host.steal_share", "ratio")]
 )
 
 
