@@ -1,4 +1,4 @@
-"""Seeded request generators for the benchmark's three workloads.
+"""Seeded request generators for the benchmark's two workloads.
 
 The menus are frozen here as literals (Table 1 of the paper, and the
 Jelly/SMIC menus at maximum cardinality 20), so a change to
@@ -65,7 +65,7 @@ SMIC_20 = (
 
 MENUS: Dict[str, Menu] = {"table1": TABLE_1, "jelly20": JELLY_20, "smic20": SMIC_20}
 
-#: Offered rate of the pinned phase of every open-loop workload.
+#: Offered rate of the pinned phase of the open-loop workload.
 PINNED_RPS = 40.0
 #: Interval between feedback batches on drift-feedback.
 FEEDBACK_INTERVAL_S = 0.1
@@ -196,7 +196,7 @@ def small_sizes(rng: random.Random, count: int) -> List[int]:
 
 
 class HotKeys:
-    """hot-small (and the solves of drift-feedback): a few hot keys, Zipf-skewed."""
+    """The solves of drift-feedback: a few hot keys, Zipf-skewed."""
 
     def __init__(self, seed: int, lineages: Sequence[str], per_menu: int) -> None:
         rng = stream(seed, "hot-keys")
@@ -244,6 +244,8 @@ def true_confidence(assumed: float, drifted: bool) -> float:
 LARGE_N_MAX = 100_000
 LARGE_N_STRATA = 11
 LARGE_N_BANDS = {"table1": (0.91, 0.96), "jelly20": (0.90, 0.96), "smic20": (0.80, 0.88)}
+#: Sends of large-n's p50 probe: two after each request of the sequence.
+LARGE_N_PROBES = 2 * (LARGE_N_STRATA + 1)
 
 
 def large_n_sequence(seed: int) -> List[Job]:
@@ -282,6 +284,24 @@ def large_n_sequence(seed: int) -> List[Job]:
     )
     rng.shuffle(jobs)
     return jobs
+
+
+def large_n_probes(seed: int) -> List[Job]:
+    """large-n's p50 probe: one Jelly-20 request at n ~ 10^4, to send repeatedly.
+
+    The same request's latency varies by about 25% between sends on one
+    server, and neighbouring strata of the sequence differ by as much, so
+    the median of the sequence moved with whichever request happened to sit
+    in the middle.  The median of repeated sends of one mid-size request
+    does not.
+    """
+    rng = stream(seed, "large-n-probe")
+    n = int(round(10_000 * rng.uniform(0.98, 1.02)))
+    threshold = round(rng.uniform(*LARGE_N_BANDS["jelly20"]), 4)
+    return [
+        solve_job(f"large-n-probe-{i}", "jelly20", JELLY_20, n, threshold)
+        for i in range(LARGE_N_PROBES)
+    ]
 
 
 def decade(n: int) -> str:
