@@ -492,9 +492,10 @@ class OPQSolver(Solver):
                 pending = []
                 break
 
-            for _block in range(blocks):
-                block_ids, pending = pending[: head.lcm], pending[head.lcm:]
-                self._assign_block(plan, head, block_ids)
+            lcm = head.lcm
+            for start in range(0, blocks * lcm, lcm):
+                self._assign_block(plan, head, pending[start:start + lcm])
+            pending = pending[blocks * lcm:]
 
             previous = head
             previous_block_cost = head.block_cost
