@@ -37,13 +37,13 @@ from repro.algorithms.base import Solver
 from repro.algorithms.greedy import GreedySolver
 from repro.algorithms.opq import (
     OptimalPriorityQueue,
-    OPQSolver,
     QueueFactory,
+    cover,
     queue_is_complete,
 )
 from repro.algorithms.opq_vec import build_queue
 from repro.algorithms.opq_extended import (
-    assign_to_groups,
+    cover_groups,
     group_thresholds,
     ThresholdGroup,
 )
@@ -230,7 +230,7 @@ class AnytimeSolver(Solver):
         """The reliability each needed queue is built for (one per group)."""
         if problem.is_homogeneous:
             return [problem.homogeneous_threshold]
-        return group_thresholds(problem.task.thresholds)
+        return group_thresholds(problem.task.distinct_thresholds())
 
     def _opq_plan(
         self,
@@ -239,36 +239,15 @@ class AnytimeSolver(Solver):
         queues: List[OptimalPriorityQueue],
     ) -> DecompositionPlan:
         """Algorithm 3 (or the Algorithm 5 group loop) over prebuilt queues."""
+        plan = DecompositionPlan(solver=self.name)
         if problem.is_homogeneous:
-            solver = OPQSolver(verify=False, prebuilt_queue=queues[0])
-            plan = solver._solve(problem)
-            plan.solver = self.name
+            cover(plan, queues[0], problem.task.task_ids)
             return plan
-
         groups = [
             ThresholdGroup(
                 index, residual_from_reliability(threshold), queue
             )
             for index, (threshold, queue) in enumerate(zip(thresholds, queues))
         ]
-        residuals = {
-            atomic.task_id: residual_from_reliability(atomic.threshold)
-            for atomic in problem.task
-        }
-        membership = assign_to_groups(residuals, groups)
-        plan = DecompositionPlan(solver=self.name)
-        for group in groups:
-            task_ids = membership[group.index]
-            if not task_ids:
-                continue
-            sub_task = problem.task.subset(
-                task_ids, name=f"{problem.task.name}-group{group.index}"
-            )
-            sub_problem = SladeProblem(
-                sub_task,
-                problem.bins,
-                name=f"{problem.name}-group{group.index}",
-            )
-            sub_solver = OPQSolver(verify=False, prebuilt_queue=group.queue)
-            plan.extend(sub_solver._solve(sub_problem))
+        cover_groups(plan, problem.task, groups)
         return plan

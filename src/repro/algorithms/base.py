@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
@@ -35,6 +35,10 @@ class SolveResult:
         Name of the algorithm that produced the plan.
     metadata:
         Free-form algorithm diagnostics (iterations, pruned nodes, ...).
+    verified:
+        ``True`` when :meth:`Solver.solve` already checked the plan's
+        feasibility (it raises instead of returning an infeasible plan);
+        ``None`` when it did not check.
     """
 
     plan: DecompositionPlan
@@ -42,6 +46,7 @@ class SolveResult:
     elapsed_seconds: float
     solver: str
     metadata: Dict[str, Any] = field(default_factory=dict)
+    verified: Optional[bool] = None
 
     @property
     def total_cost(self) -> float:
@@ -50,7 +55,12 @@ class SolveResult:
 
     @property
     def feasible(self) -> bool:
-        """Whether the plan satisfies every atomic task's threshold."""
+        """Whether the plan satisfies every atomic task's threshold.
+
+        Reuses the solve's own check when it ran one.
+        """
+        if self.verified is not None:
+            return self.verified
         return self.plan.is_feasible(self.problem.task)
 
     def summary(self) -> Dict[str, Any]:
@@ -119,6 +129,7 @@ class Solver(abc.ABC):
             elapsed_seconds=watch.elapsed,
             solver=self.name,
             metadata=dict(self._metadata),
+            verified=True if self.verify else None,
         )
 
     def record(self, key: str, value: Any) -> None:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.algorithms.base import Solver
 from repro.core.bins import TaskBin, TaskBinSet
 from repro.core.errors import InfeasiblePlanError, InvalidProblemError
-from repro.core.plan import DecompositionPlan
+from repro.core.plan import BlockTemplate, DecompositionPlan
 from repro.core.problem import SladeProblem
 from repro.utils.logmath import lcm_of, residual_from_reliability
 
@@ -120,31 +120,43 @@ class Combination:
 
     # -- plan expansion ---------------------------------------------------------
 
+    def block_template(self, width: Optional[int] = None) -> BlockTemplate:
+        """The postings of one block of this combination over ``width`` slots.
+
+        ``width`` defaults to a full block of ``lcm`` tasks; a smaller one
+        is the remainder block of Algorithm 3, whose postings are partially
+        filled but still cost the full bin price, exactly as on a real
+        platform.  Every slot receives each bin cardinality ``k`` exactly
+        ``n_k`` times, so the reliability granted matches :attr:`residual`.
+        """
+        lcm = self.lcm
+        if width is None:
+            width = lcm
+        if not 0 < width <= lcm:
+            raise InvalidProblemError(
+                f"block of {width} tasks exceeds combination LCM {lcm}"
+            )
+        postings: List[Tuple[TaskBin, int, int]] = []
+        for cardinality, count in self.counts:
+            task_bin = self.bins[cardinality]
+            cells = [
+                (task_bin, lo, min(lo + cardinality, width))
+                for lo in range(0, width, cardinality)
+            ]
+            postings.extend(cells * count)
+        return BlockTemplate(width, postings)
+
     def postings_for_block(self, task_ids: Sequence[int]) -> Iterator[Tuple[TaskBin, Tuple[int, ...]]]:
         """Yield the concrete bin postings covering a block of atomic tasks.
 
-        ``task_ids`` may contain fewer tasks than ``lcm`` (the remainder block
-        of Algorithm 3); the postings are then partially filled but still cost
-        the full bin price, exactly as on a real platform.  Every task in the
-        block receives each bin cardinality ``k`` exactly ``n_k`` times, so the
-        reliability granted matches :attr:`residual`.
+        ``task_ids`` may contain fewer tasks than ``lcm`` (the remainder
+        block); see :meth:`block_template`.
         """
         if not task_ids:
             return
         block = list(task_ids)
-        lcm = self.lcm
-        if len(block) > lcm:
-            raise InvalidProblemError(
-                f"block of {len(block)} tasks exceeds combination LCM {lcm}"
-            )
-        for cardinality, count in self.counts:
-            task_bin = self.bins[cardinality]
-            groups = lcm // cardinality
-            for _round in range(count):
-                for g in range(groups):
-                    members = tuple(block[g * cardinality:(g + 1) * cardinality])
-                    if members:
-                        yield task_bin, members
+        for task_bin, lo, hi in self.block_template(len(block)).postings:
+            yield task_bin, tuple(block[lo:hi])
 
     def __str__(self) -> str:
         parts = " + ".join(f"{count}xb{cardinality}" for cardinality, count in self.counts)
@@ -448,67 +460,67 @@ class OPQSolver(Solver):
             self.record("opq_nodes", getattr(queue, "stats", {}).get("nodes"))
 
         plan = DecompositionPlan(solver=self.name)
-        pending = [atomic.task_id for atomic in problem.task]
-        elements = queue.elements()
-        if not elements:
-            raise InfeasiblePlanError("the optimal priority queue is empty")
-
-        previous: Optional[Combination] = None
-        previous_block_cost = float("inf")
-        iterations = 0
-
-        while pending:
-            iterations += 1
-            remaining = len(pending)
-
-            # Drop head elements whose block is larger than the remaining task
-            # count (Algorithm 3, lines 4-5).
-            while elements and elements[0].lcm > remaining:
-                elements.pop(0)
-
-            if not elements:
-                # Only combinations larger than the remainder are left; reuse
-                # the previous combination once, paying for a partially filled
-                # block (Algorithm 3, lines 7-10 degenerate case).  When there
-                # is no previous combination (n is smaller than every block
-                # size), a single partially filled application of the cheapest
-                # block covers everything.
-                fallback = previous
-                if fallback is None:
-                    fallback = min(queue.elements(), key=lambda comb: comb.block_cost)
-                self._assign_block(plan, fallback, pending)
-                pending = []
-                break
-
-            head = elements[0]
-            blocks = remaining // head.lcm
-            chunk_cost = blocks * head.block_cost
-
-            if previous is not None and chunk_cost > previous_block_cost:
-                # Covering the remainder with several head blocks would cost
-                # more than one extra application of the previous combination,
-                # so reuse the previous one (Algorithm 3, lines 7-10).
-                self._assign_block(plan, previous, pending)
-                pending = []
-                break
-
-            lcm = head.lcm
-            for start in range(0, blocks * lcm, lcm):
-                self._assign_block(plan, head, pending[start:start + lcm])
-            pending = pending[blocks * lcm:]
-
-            previous = head
-            previous_block_cost = head.block_cost
-
-        self.record("iterations", iterations)
+        self.record("iterations", cover(plan, queue, problem.task.task_ids))
         return plan
 
-    @staticmethod
-    def _assign_block(
-        plan: DecompositionPlan,
-        combination: Combination,
-        task_ids: Sequence[int],
-    ) -> None:
-        """Materialise one (possibly partial) block of a combination."""
-        for task_bin, members in combination.postings_for_block(task_ids):
-            plan.add(task_bin, members)
+
+def cover(
+    plan: DecompositionPlan,
+    queue: OptimalPriorityQueue,
+    task_ids: Sequence[int],
+) -> int:
+    """Algorithm 3: append runs covering ``task_ids`` to ``plan``.
+
+    Each head combination becomes one run of ``floor(remaining / LCM)``
+    blocks, and a partially filled block ends the cover, so the plan gains
+    at most ``|Q| + 1`` segments and ``task_ids`` is never copied.  Returns
+    the number of loop iterations.
+    """
+    elements = queue.elements()
+    if not elements:
+        raise InfeasiblePlanError("the optimal priority queue is empty")
+
+    previous: Optional[Combination] = None
+    previous_block_cost = float("inf")
+    iterations = 0
+    position, n = 0, len(task_ids)
+
+    while position < n:
+        iterations += 1
+        remaining = n - position
+
+        # Drop head elements whose block is larger than the remaining task
+        # count (Algorithm 3, lines 4-5).
+        while elements and elements[0].lcm > remaining:
+            elements.pop(0)
+
+        if not elements:
+            # Only combinations larger than the remainder are left; reuse
+            # the previous combination once, paying for a partially filled
+            # block (Algorithm 3, lines 7-10 degenerate case).  When there
+            # is no previous combination (n is smaller than every block
+            # size), a single partially filled application of the cheapest
+            # block covers everything.
+            fallback = previous
+            if fallback is None:
+                fallback = min(queue.elements(), key=lambda comb: comb.block_cost)
+            plan.add_run(fallback.block_template(remaining), 1, task_ids, position)
+            break
+
+        head = elements[0]
+        blocks = remaining // head.lcm
+        chunk_cost = blocks * head.block_cost
+
+        if previous is not None and chunk_cost > previous_block_cost:
+            # Covering the remainder with several head blocks would cost
+            # more than one extra application of the previous combination,
+            # so reuse the previous one (Algorithm 3, lines 7-10).
+            plan.add_run(previous.block_template(remaining), 1, task_ids, position)
+            break
+
+        plan.add_run(head.block_template(), blocks, task_ids, position)
+        position += blocks * head.lcm
+        previous = head
+        previous_block_cost = head.block_cost
+
+    return iterations

@@ -20,14 +20,15 @@ from typing import Dict, List, Optional, Sequence
 from repro.algorithms.base import Solver
 from repro.algorithms.opq import (
     OptimalPriorityQueue,
-    OPQSolver,
     QueueFactory,
     build_optimal_priority_queue,
+    cover,
 )
 from repro.core.bins import TaskBinSet
 from repro.core.errors import InvalidProblemError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
+from repro.core.task import CrowdsourcingTask
 from repro.utils.logmath import (
     reliability_from_residual,
     residual_from_reliability,
@@ -143,6 +144,16 @@ def build_opq_set(
     return groups
 
 
+def _group_for(theta: float, groups: Sequence[ThresholdGroup]) -> ThresholdGroup:
+    """The lowest group whose bound covers transformed threshold ``theta``."""
+    for group in groups:
+        if theta <= group.upper_residual + 1e-12:
+            return group
+    # Floating point drift can push theta_max marginally above the last
+    # boundary; the last group is the correct home in that case.
+    return groups[-1]
+
+
 def assign_to_groups(
     residuals: Dict[int, float],
     groups: Sequence[ThresholdGroup],
@@ -163,17 +174,44 @@ def assign_to_groups(
     """
     membership: Dict[int, List[int]] = {group.index: [] for group in groups}
     for task_id, theta in residuals.items():
-        chosen: Optional[ThresholdGroup] = None
-        for group in groups:
-            if theta <= group.upper_residual + 1e-12:
-                chosen = group
-                break
-        if chosen is None:
-            # Floating point drift can push theta_max marginally above the last
-            # boundary; the last group is the correct home in that case.
-            chosen = groups[-1]
-        membership[chosen.index].append(task_id)
+        membership[_group_for(theta, groups).index].append(task_id)
     return membership
+
+
+def cover_groups(
+    plan: DecompositionPlan,
+    task: CrowdsourcingTask,
+    groups: Sequence[ThresholdGroup],
+) -> Dict[int, int]:
+    """Algorithm 5 lines 5-15: cover each group's tasks with its own queue.
+
+    Tasks join groups as :func:`assign_to_groups` assigns them, decided once
+    per distinct threshold, and keep their declaration order within a group.
+    Every task in a group is covered against the group's upper-bound
+    threshold (carried by its queue), which dominates each individual
+    threshold in the group.  Returns the number of tasks per group index.
+    """
+    common = task.common_threshold
+    if common is not None:
+        # One group holds every task: cover the task's own id sequence.
+        only = _group_for(residual_from_reliability(common), groups)
+        membership: Dict[int, Sequence[int]] = {group.index: () for group in groups}
+        membership[only.index] = task.task_ids
+    else:
+        lists: Dict[int, List[int]] = {group.index: [] for group in groups}
+        append_to = {
+            threshold: lists[
+                _group_for(residual_from_reliability(threshold), groups).index
+            ].append
+            for threshold in task.distinct_thresholds()
+        }
+        for task_id, threshold in zip(task.task_ids, task.thresholds):
+            append_to[threshold](task_id)
+        membership = dict(lists)
+    for group in groups:
+        if membership[group.index]:
+            cover(plan, group.queue, membership[group.index])
+    return {index: len(task_ids) for index, task_ids in membership.items()}
 
 
 class OPQExtendedSolver(Solver):
@@ -203,38 +241,13 @@ class OPQExtendedSolver(Solver):
         self._queue_factory = queue_factory
 
     def _solve(self, problem: SladeProblem) -> DecompositionPlan:
-        thresholds = problem.task.thresholds
         groups = build_opq_set(
-            problem.bins, thresholds, queue_factory=self._queue_factory
+            problem.bins,
+            problem.task.distinct_thresholds(),
+            queue_factory=self._queue_factory,
         )
-        residuals = {
-            atomic.task_id: residual_from_reliability(atomic.threshold)
-            for atomic in problem.task
-        }
-        membership = assign_to_groups(residuals, groups)
-
         plan = DecompositionPlan(solver=self.name)
-        group_sizes = {}
-        for group in groups:
-            task_ids = membership[group.index]
-            group_sizes[group.index] = len(task_ids)
-            if not task_ids:
-                continue
-            sub_task = problem.task.subset(
-                task_ids, name=f"{problem.task.name}-group{group.index}"
-            )
-            # Every task in the group is solved against the group's upper-bound
-            # threshold (carried by the prebuilt queue), which dominates each
-            # individual threshold in the group.
-            sub_problem = SladeProblem(
-                sub_task,
-                problem.bins,
-                name=f"{problem.name}-group{group.index}",
-            )
-            sub_solver = OPQSolver(verify=False, prebuilt_queue=group.queue)
-            sub_plan = sub_solver._solve(sub_problem)
-            plan.extend(sub_plan)
-
+        group_sizes = cover_groups(plan, problem.task, groups)
         self.record("groups", len(groups))
         self.record("group_sizes", group_sizes)
         return plan

@@ -100,11 +100,12 @@ class SladeProblem:
         InvalidProblemError
             If the instance is heterogeneous.
         """
-        if not self.is_homogeneous:
+        threshold = self.task.common_threshold
+        if threshold is None:
             raise InvalidProblemError(
                 "instance is heterogeneous; there is no single threshold"
             )
-        return self.task[0].threshold
+        return threshold
 
     @property
     def atomic_tasks(self) -> List[AtomicTask]:

@@ -10,10 +10,11 @@ the simulator: the question and its ground truth), and a reliability threshold
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import InvalidProblemError
-from repro.utils.hashing import float_token, stable_digest
+from repro.utils.hashing import digest_framed, float_token
 from repro.utils.logmath import residual_from_reliability
 from repro.utils.validation import require_probability_open
 
@@ -64,6 +65,13 @@ class CrowdsourcingTask:
     identifiers must be unique; they are usually ``0..n-1`` but any distinct
     non-negative integers are accepted (the simulator reuses upstream IDs).
 
+    Tasks built by :meth:`homogeneous` and :meth:`heterogeneous` are
+    *compact*: they hold ``range(n)`` as ids and one threshold (or a list of
+    floats) and build :class:`AtomicTask` objects only when iterated or
+    indexed, so the views the solvers need (:attr:`task_ids`,
+    :attr:`common_threshold`, :attr:`fingerprint`) cost O(1) or one pass
+    instead of ``n`` validated objects.
+
     Parameters
     ----------
     tasks:
@@ -73,17 +81,38 @@ class CrowdsourcingTask:
     """
 
     def __init__(self, tasks: Iterable[AtomicTask], name: str = "task") -> None:
-        self._tasks: List[AtomicTask] = list(tasks)
-        self.name = name
-        if not self._tasks:
+        atomic = list(tasks)
+        if not atomic:
             raise InvalidProblemError("a crowdsourcing task needs at least one atomic task")
         seen = set()
-        for task in self._tasks:
+        for task in atomic:
             if task.task_id in seen:
                 raise InvalidProblemError(
                     f"duplicate atomic task id {task.task_id} in crowdsourcing task"
                 )
             seen.add(task.task_id)
+        self._ids: Sequence[int] = tuple(task.task_id for task in atomic)
+        #: One threshold shared by every task, or a list aligned with ``_ids``.
+        self._thresholds: Union[float, List[float]] = [task.threshold for task in atomic]
+        self._tasks: Optional[List[AtomicTask]] = atomic
+        self._fingerprint: Optional[str] = None
+        self.name = name
+
+    @classmethod
+    def _compact(
+        cls,
+        ids: Sequence[int],
+        thresholds: Union[float, List[float]],
+        name: str,
+    ) -> "CrowdsourcingTask":
+        """A task over already-validated ids and thresholds, with no payloads."""
+        task = cls.__new__(cls)
+        task._ids = ids
+        task._thresholds = thresholds
+        task._tasks = None
+        task._fingerprint = None
+        task.name = name
+        return task
 
     # -- construction helpers -------------------------------------------------
 
@@ -101,10 +130,7 @@ class CrowdsourcingTask:
         if n <= 0:
             raise InvalidProblemError(f"n must be positive; got {n}")
         require_probability_open(threshold, "threshold")
-        return cls(
-            (AtomicTask(i, threshold) for i in range(n)),
-            name=name,
-        )
+        return cls._compact(range(n), threshold, name)
 
     @classmethod
     def heterogeneous(
@@ -118,21 +144,28 @@ class CrowdsourcingTask:
         """
         if len(thresholds) == 0:
             raise InvalidProblemError("thresholds must not be empty")
-        return cls(
-            (AtomicTask(i, float(t)) for i, t in enumerate(thresholds)),
-            name=name,
-        )
+        floats = _checked_thresholds(thresholds)
+        return cls._compact(range(len(floats)), floats, name)
 
     # -- sequence protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._tasks)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[AtomicTask]:
-        return iter(self._tasks)
+        if self._tasks is not None:
+            return iter(self._tasks)
+        thresholds = self._thresholds
+        if isinstance(thresholds, list):
+            return map(AtomicTask, self._ids, thresholds)
+        return map(AtomicTask, self._ids, repeat(thresholds))
 
     def __getitem__(self, index: int) -> AtomicTask:
-        return self._tasks[index]
+        if self._tasks is not None:
+            return self._tasks[index]
+        thresholds = self._thresholds
+        threshold = thresholds[index] if isinstance(thresholds, list) else thresholds
+        return AtomicTask(self._ids[index], threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CrowdsourcingTask(name={self.name!r}, n={len(self)})"
@@ -140,30 +173,50 @@ class CrowdsourcingTask:
     # -- derived views ----------------------------------------------------------
 
     @property
-    def task_ids(self) -> List[int]:
-        """The atomic task identifiers, in declaration order."""
-        return [task.task_id for task in self._tasks]
+    def task_ids(self) -> Sequence[int]:
+        """The atomic task identifiers, in declaration order (read-only)."""
+        return self._ids
 
     @property
     def thresholds(self) -> List[float]:
         """Reliability thresholds aligned with :attr:`task_ids`."""
-        return [task.threshold for task in self._tasks]
+        thresholds = self._thresholds
+        if isinstance(thresholds, list):
+            return list(thresholds)
+        return [thresholds] * len(self._ids)
+
+    @property
+    def common_threshold(self) -> Optional[float]:
+        """The threshold every atomic task shares, or ``None`` when they differ."""
+        thresholds = self._thresholds
+        if not isinstance(thresholds, list):
+            return thresholds
+        first = thresholds[0]
+        return first if thresholds.count(first) == len(thresholds) else None
 
     @property
     def is_homogeneous(self) -> bool:
         """Whether every atomic task shares the same reliability threshold."""
-        first = self._tasks[0].threshold
-        return all(task.threshold == first for task in self._tasks)
+        return self.common_threshold is not None
+
+    def distinct_thresholds(self) -> List[float]:
+        """The distinct reliability thresholds, in increasing order."""
+        thresholds = self._thresholds
+        if isinstance(thresholds, list):
+            return sorted(set(thresholds))
+        return [thresholds]
 
     @property
     def max_threshold(self) -> float:
         """The largest reliability threshold among the atomic tasks."""
-        return max(task.threshold for task in self._tasks)
+        thresholds = self._thresholds
+        return max(thresholds) if isinstance(thresholds, list) else thresholds
 
     @property
     def min_threshold(self) -> float:
         """The smallest reliability threshold among the atomic tasks."""
-        return min(task.threshold for task in self._tasks)
+        thresholds = self._thresholds
+        return min(thresholds) if isinstance(thresholds, list) else thresholds
 
     @property
     def fingerprint(self) -> str:
@@ -171,15 +224,20 @@ class CrowdsourcingTask:
 
         Payloads and the display ``name`` are excluded: the decomposition
         algorithms never read them, so two tasks with the same ids and
-        thresholds are interchangeable for planning purposes.
+        thresholds are interchangeable for planning purposes.  The value is
+        ``stable_digest(("crowdsourcing_task", "<id>:<threshold hex>", ...))``;
+        it is computed once per task, in one ``join`` and one hash update.
         """
-        return stable_digest(
-            ("crowdsourcing_task",)
-            + tuple(
-                f"{task.task_id}:{float_token(task.threshold)}"
-                for task in self._tasks
-            )
-        )
+        if self._fingerprint is None:
+            thresholds = self._thresholds
+            if isinstance(thresholds, list):
+                tokens = map("{}:{}".format, self._ids, map(float.hex, map(float, thresholds)))
+                body = "".join([f"{len(token)}:{token}" for token in tokens])
+            else:
+                # Compact homogeneous tasks hold range(n).
+                body = _framed_id_run(len(self._ids), float_token(thresholds))
+            self._fingerprint = digest_framed(_FINGERPRINT_HEAD + body)
+        return self._fingerprint
 
     def by_id(self, task_id: int) -> AtomicTask:
         """Return the atomic task with the given identifier.
@@ -189,20 +247,85 @@ class CrowdsourcingTask:
         KeyError
             If no atomic task has that identifier.
         """
-        for task in self._tasks:
-            if task.task_id == task_id:
-                return task
-        raise KeyError(f"no atomic task with id {task_id}")
+        try:
+            position = self._ids.index(task_id)
+        except ValueError:
+            raise KeyError(f"no atomic task with id {task_id}") from None
+        return self[position]
 
     def subset(self, task_ids: Iterable[int], name: Optional[str] = None) -> "CrowdsourcingTask":
         """Return a new crowdsourcing task restricted to ``task_ids``.
 
-        Used by the heterogeneous solver to carve the task set into threshold
-        groups (Algorithm 5, lines 5-7).
+        The atomic tasks keep their declaration order.
         """
         wanted = set(task_ids)
-        subset = [task for task in self._tasks if task.task_id in wanted]
+        subset = [task for task in self if task.task_id in wanted]
         if len(subset) != len(wanted):
             missing = wanted - {task.task_id for task in subset}
             raise KeyError(f"unknown atomic task ids: {sorted(missing)}")
         return CrowdsourcingTask(subset, name=name or f"{self.name}-subset")
+
+    def map_thresholds(self, fn: Callable[[float], float]) -> "CrowdsourcingTask":
+        """A copy whose thresholds are ``fn`` of these, or ``self`` if none changes.
+
+        Ids, payloads and the name are kept; the new thresholds are validated
+        like an :class:`AtomicTask`'s.
+        """
+        thresholds = self._thresholds
+        if not isinstance(thresholds, list):
+            mapped = fn(thresholds)
+            if mapped == thresholds:
+                return self
+            require_probability_open(mapped, "threshold")
+            return self._compact(self._ids, mapped, self.name)
+        mapped_list = [fn(threshold) for threshold in thresholds]
+        if mapped_list == thresholds:
+            return self
+        if self._tasks is None:
+            return self._compact(self._ids, _checked_thresholds(mapped_list), self.name)
+        return CrowdsourcingTask(
+            (
+                AtomicTask(atomic.task_id, threshold, atomic.payload)
+                for atomic, threshold in zip(self._tasks, mapped_list)
+            ),
+            name=self.name,
+        )
+
+
+#: The framed first token of every task fingerprint.
+_FINGERPRINT_HEAD = "18:crowdsourcing_task"
+
+
+def _framed_id_run(n: int, threshold_hex: str) -> str:
+    """The framed tokens ``f"{i}:{threshold_hex}"`` for ``i`` in ``range(n)``.
+
+    Ids with the same number of digits frame to the same length, so each
+    digit band is one ``join`` over ``map(str, ...)``.
+    """
+    parts = []
+    low, digits = 0, 1
+    while low < n:
+        high = min(n, 10 ** digits)
+        size = f"{digits + 1 + len(threshold_hex)}:"
+        parts.append(
+            size
+            + f":{threshold_hex}{size}".join(map(str, range(low, high)))
+            + f":{threshold_hex}"
+        )
+        low, digits = high, digits + 1
+    return "".join(parts)
+
+
+def _checked_thresholds(values: Sequence[object]) -> List[float]:
+    """``values`` as floats, each validated as :class:`AtomicTask` validates it."""
+    try:
+        floats: Optional[List[float]] = list(map(float, values))  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        floats = None
+    if floats is None or not all(0.0 <= value < 1.0 for value in floats):
+        # Convert and check one at a time, so the first bad value raises
+        # exactly what it raises on its own.
+        for value in values:
+            require_probability_open(float(value), "threshold")  # type: ignore[arg-type]
+    assert floats is not None
+    return floats

@@ -216,12 +216,12 @@ def plan_to_dict(plan: DecompositionPlan) -> Dict:
         "total_cost": plan.total_cost,
         "assignments": [
             {
-                "cardinality": assignment.task_bin.cardinality,
-                "confidence": assignment.task_bin.confidence,
-                "cost": assignment.task_bin.cost,
-                "task_ids": list(assignment.task_ids),
+                "cardinality": task_bin.cardinality,
+                "confidence": task_bin.confidence,
+                "cost": task_bin.cost,
+                "task_ids": list(task_ids),
             }
-            for assignment in plan
+            for task_bin, task_ids in plan.postings()
         ],
     }
 

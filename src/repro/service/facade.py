@@ -29,7 +29,6 @@ from repro.algorithms.registry import (
 )
 from repro.core.errors import SladeError
 from repro.core.problem import SladeProblem
-from repro.core.task import AtomicTask, CrowdsourcingTask
 from repro.engine.backends import CacheBackend, open_backend
 from repro.engine.cache import CacheStats, PlanCache
 from repro.engine.fingerprint import opq_key
@@ -404,20 +403,10 @@ class SladeService:
         """Apply the configured threshold floor/cap, rebuilding if needed."""
         if not self.config.clamps_thresholds:
             return problem
-        clamped = [
-            self.config.clamp_threshold(atomic.threshold) for atomic in problem.task
-        ]
-        if clamped == [atomic.threshold for atomic in problem.task]:
+        task = problem.task.map_thresholds(self.config.clamp_threshold)
+        if task is problem.task:
             return problem
-        tasks = [
-            AtomicTask(atomic.task_id, threshold, atomic.payload)
-            for atomic, threshold in zip(problem.task, clamped)
-        ]
-        return SladeProblem(
-            CrowdsourcingTask(tasks, name=problem.task.name),
-            problem.bins,
-            name=problem.name,
-        )
+        return SladeProblem(task, problem.bins, name=problem.name)
 
     def _calibrated_problem(self, problem: SladeProblem) -> SladeProblem:
         """Serve the request against its menu lineage's *active* epoch.
@@ -430,7 +419,7 @@ class SladeService:
         problem here serves the request against the menu it sent.
         """
         try:
-            thresholds = sorted({atomic.threshold for atomic in problem.task})
+            thresholds = problem.task.distinct_thresholds()
             active = self.drift.register(problem.bins, thresholds)
             if active is problem.bins or active.fingerprint == problem.bins.fingerprint:
                 return problem

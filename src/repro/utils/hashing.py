@@ -37,3 +37,13 @@ def stable_digest(parts: Iterable[str]) -> str:
         hasher.update(b":")
         hasher.update(encoded)
     return hasher.hexdigest()[:DIGEST_LENGTH]
+
+
+def digest_framed(framed: str) -> str:
+    """Digest ASCII tokens already framed the way :func:`stable_digest` frames them.
+
+    ``digest_framed("".join(f"{len(t)}:{t}" for t in tokens))`` equals
+    ``stable_digest(tokens)`` for ASCII tokens; callers that build the framed
+    text in bulk (one ``join``, one ``update``) skip the per-token hasher calls.
+    """
+    return hashlib.sha256(framed.encode("ascii")).hexdigest()[:DIGEST_LENGTH]

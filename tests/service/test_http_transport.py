@@ -51,15 +51,32 @@ def inline_request(n=50, threshold=0.9, **extra):
     return payload
 
 
-#: A solve that holds the worker executor for roughly a second (cover cost
-#: grows superlinearly in n), used by liveness/drain tests.
-SLOW_REQUEST = {
-    "kind": "solve_request",
-    "version": 1,
-    "n": 100_000,
-    "threshold": 0.95,
-    "bins": [[l, 0.78 + 0.006 * l, 0.08 + 0.02 * l] for l in range(1, 11)],
-}
+#: A solve that ``hold_solves`` keeps in the worker executor until released,
+#: used by the liveness, drain and global-capacity tests.
+SLOW_REQUEST = inline_request(request_id="held")
+
+
+class HeldSolves:
+    """Hold any solve batch carrying ``SLOW_REQUEST`` until :attr:`release` is set.
+
+    A solve slow by its size alone finishes at a speed that depends on the
+    host and on the solver's cost; holding it is what the tests need.
+    """
+
+    def __init__(self, handle: "ServerHandle") -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        service = handle.server.service.service
+        solve_batch = service.solve_batch
+
+        def held_solve_batch(requests):
+            requests = list(requests)
+            if any(r.request_id == SLOW_REQUEST["request_id"] for r in requests):
+                self.entered.set()
+                self.release.wait(timeout=30)
+            return solve_batch(requests)
+
+        service.solve_batch = held_solve_batch
 
 
 class ServerHandle:
@@ -355,23 +372,22 @@ class TestAdmissionOverHttp:
     def test_global_capacity_is_503(self):
         admission = AdmissionController(max_total_inflight=1)
         with ServerHandle(admission=admission) as handle:
-            started = threading.Event()
+            held = HeldSolves(handle)
             slow_reply = {}
 
             def slow() -> None:
                 client = handle.client(tenant="slow")
-                started.set()
                 slow_reply["reply"] = client.solve(
                     SLOW_REQUEST, include_plan=False
                 )
 
             thread = threading.Thread(target=slow)
             thread.start()
-            started.wait()
-            time.sleep(0.3)  # let the slow request enter the executor
+            assert held.entered.wait(timeout=10)  # the slow request is in the executor
             rejected = handle.client(tenant="other").solve(
                 inline_request(n=25), include_plan=False
             )
+            held.release.set()
             assert rejected.status == 503
             assert rejected.payload["error"]["type"] == "OverloadedError"
             thread.join(timeout=60)
@@ -382,21 +398,20 @@ class TestAdmissionOverHttp:
 class TestLivenessAndShutdown:
     def test_healthz_stays_responsive_during_long_solve(self):
         with ServerHandle() as handle:
-            started = threading.Event()
+            held = HeldSolves(handle)
             slow_reply = {}
 
             def slow() -> None:
                 client = handle.client()
-                started.set()
                 slow_reply["reply"] = client.solve(SLOW_REQUEST, include_plan=False)
 
             thread = threading.Thread(target=slow)
             thread.start()
-            started.wait()
-            time.sleep(0.2)  # ensure the solve occupies the executor
+            assert held.entered.wait(timeout=10)  # the solve occupies the executor
             t0 = time.perf_counter()
             health = handle.client().healthz()
             latency = time.perf_counter() - t0
+            held.release.set()
             assert health.status == 200
             assert health.payload["status"] == "ok"
             assert latency < 1.0, f"healthz took {latency:.2f}s during a solve"
@@ -405,18 +420,17 @@ class TestLivenessAndShutdown:
 
     def test_close_drains_inflight_requests(self):
         with ServerHandle() as handle:
-            started = threading.Event()
+            held = HeldSolves(handle)
             outcome = {}
 
             def inflight() -> None:
                 client = handle.client()
-                started.set()
                 outcome["reply"] = client.solve(SLOW_REQUEST, include_plan=False)
 
             thread = threading.Thread(target=inflight)
             thread.start()
-            started.wait()
-            time.sleep(0.3)  # the request is being solved when we close
+            assert held.entered.wait(timeout=10)  # being solved when we close
+            threading.Timer(0.3, held.release.set).start()
             handle.stop()
             thread.join(timeout=60)
             assert outcome["reply"].status == 200
