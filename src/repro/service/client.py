@@ -91,15 +91,6 @@ class HttpReply:
 
         return solve_response_from_dict(self.payload)
 
-    def solve_responses(self) -> List[SolveResponse]:
-        """Decode a batch payload into its per-item responses, in order."""
-        from repro.io.serialization import solve_response_from_dict
-
-        return [
-            solve_response_from_dict(entry)
-            for entry in self.payload.get("responses", [])
-        ]
-
 
 class SladeHttpClient:
     """Drive a SLADE HTTP server over ``urllib`` (no external packages).

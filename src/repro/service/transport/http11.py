@@ -188,11 +188,6 @@ def render_response(
     return head.encode("ascii") + body
 
 
-def reason_for(status: int) -> str:
-    """The canonical reason phrase for a status code."""
-    return _REASONS.get(status, "Unknown")
-
-
 def split_host_port(spec: str, default_port: int = 8080) -> Tuple[str, int]:
     """Parse a ``HOST:PORT`` CLI spec (``:PORT`` binds every interface)."""
     host, sep, port_text = spec.rpartition(":")

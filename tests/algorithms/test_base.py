@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.base import Solver, SolveResult
+from repro.algorithms.opq import OPQSolver
 from repro.core.errors import InfeasiblePlanError
 from repro.core.plan import DecompositionPlan
 from repro.core.problem import SladeProblem
@@ -73,3 +74,11 @@ class TestSolveResultSummary:
         assert summary["n"] == 4
         assert summary["meta_touched"] == 4
         assert summary["total_cost"] == pytest.approx(result.total_cost)
+
+
+def test_feasible_reuses_the_solves_own_check(table1_bins):
+    problem = SladeProblem.homogeneous(30, 0.9, table1_bins)
+    checked = OPQSolver().solve(problem)
+    assert checked.verified is True and checked.feasible is True
+    unchecked = OPQSolver(verify=False).solve(problem)
+    assert unchecked.verified is None and unchecked.feasible is True

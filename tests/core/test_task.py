@@ -110,3 +110,54 @@ class TestCrowdsourcingTaskViews:
         task = CrowdsourcingTask.heterogeneous(thresholds)
         assert task.max_threshold == max(thresholds)
         assert task.min_threshold == min(thresholds)
+
+
+class TestCompactTasks:
+    """Tasks from the builders hold ids and thresholds, not AtomicTasks."""
+
+    def test_homogeneous_ids_are_a_range(self):
+        task = CrowdsourcingTask.homogeneous(5, 0.9)
+        assert task.task_ids == range(5)
+        assert [(a.task_id, a.threshold) for a in task] == [(i, 0.9) for i in range(5)]
+
+    def test_heterogeneous_views(self):
+        task = CrowdsourcingTask.heterogeneous([0.8, 0.9, 0.8])
+        assert task.common_threshold is None
+        assert task.distinct_thresholds() == [0.8, 0.9]
+        assert task[1] == AtomicTask(1, 0.9)
+        assert task.by_id(2).threshold == 0.8
+
+    def test_common_threshold(self):
+        assert CrowdsourcingTask.homogeneous(3, 0.9).common_threshold == 0.9
+        assert CrowdsourcingTask.heterogeneous([0.7, 0.7]).common_threshold == 0.7
+        generic = CrowdsourcingTask([AtomicTask(4, 0.6), AtomicTask(9, 0.6)])
+        assert generic.common_threshold == 0.6
+        assert generic.task_ids == (4, 9)
+
+    @pytest.mark.parametrize(
+        "thresholds,message",
+        [
+            ([0.5, 1.5, "x"], "got 1.5"),
+            ([0.5, "x", 1.5], "could not convert"),
+            ([0.5, float("nan")], "got nan"),
+        ],
+    )
+    def test_heterogeneous_rejects_the_first_bad_value(self, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            CrowdsourcingTask.heterogeneous(thresholds)
+
+    def test_map_thresholds(self):
+        task = CrowdsourcingTask.heterogeneous([0.5, 0.9, 0.99])
+        assert task.map_thresholds(lambda t: t) is task
+        capped = task.map_thresholds(lambda t: min(t, 0.95))
+        assert capped.thresholds == [0.5, 0.9, 0.95]
+        homogeneous = CrowdsourcingTask.homogeneous(3, 0.99)
+        assert homogeneous.map_thresholds(lambda t: 0.9).thresholds == [0.9] * 3
+        with pytest.raises(ValueError):
+            homogeneous.map_thresholds(lambda t: 1.0)
+
+    def test_map_thresholds_keeps_payloads(self):
+        task = CrowdsourcingTask([AtomicTask(3, 0.99, payload={"truth": True})])
+        mapped = task.map_thresholds(lambda t: 0.9)
+        assert mapped.by_id(3).payload["truth"] is True
+        assert mapped.by_id(3).threshold == 0.9
