@@ -68,7 +68,7 @@ class CrowdsourcingTask:
     Tasks built by :meth:`homogeneous` and :meth:`heterogeneous` are
     *compact*: they hold ``range(n)`` as ids and one threshold (or a list of
     floats) and build :class:`AtomicTask` objects only when iterated or
-    indexed, so the views the solvers need (:attr:`task_ids`,
+    indexed, so the views the OPQ solvers need (:attr:`task_ids`,
     :attr:`common_threshold`, :attr:`fingerprint`) cost O(1) or one pass
     instead of ``n`` validated objects.
 
@@ -153,12 +153,14 @@ class CrowdsourcingTask:
         return len(self._ids)
 
     def __iter__(self) -> Iterator[AtomicTask]:
-        if self._tasks is not None:
-            return iter(self._tasks)
-        thresholds = self._thresholds
-        if isinstance(thresholds, list):
-            return map(AtomicTask, self._ids, thresholds)
-        return map(AtomicTask, self._ids, repeat(thresholds))
+        if self._tasks is None:
+            # Built on the first iteration and kept: the solvers that walk
+            # the atomic tasks (greedy, the baseline) walk them repeatedly.
+            thresholds = self._thresholds
+            if not isinstance(thresholds, list):
+                thresholds = repeat(thresholds)  # type: ignore[assignment]
+            self._tasks = list(map(AtomicTask, self._ids, thresholds))
+        return iter(self._tasks)
 
     def __getitem__(self, index: int) -> AtomicTask:
         if self._tasks is not None:
