@@ -35,10 +35,11 @@ setup(
             "repro=repro.cli:main",
         ]
     },
+    # numpy is imported at module level (repro.utils.rng, the CIP baseline,
+    # the crowd simulator, threshold generators), so `import repro` needs
+    # it; it also powers the vectorized Algorithm 2 core.
+    install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
-        # The vectorized Algorithm 2 core; without it the pure-Python
-        # reference core runs (same results, slower cold builds).
-        "fast": ["numpy"],
     },
 )
