@@ -191,23 +191,15 @@ def cover_groups(
     threshold (carried by its queue), which dominates each individual
     threshold in the group.  Returns the number of tasks per group index.
     """
-    common = task.common_threshold
-    if common is not None:
-        # One group holds every task: cover the task's own id sequence.
-        only = _group_for(residual_from_reliability(common), groups)
-        membership: Dict[int, Sequence[int]] = {group.index: () for group in groups}
-        membership[only.index] = task.task_ids
-    else:
-        lists: Dict[int, List[int]] = {group.index: [] for group in groups}
-        append_to = {
-            threshold: lists[
-                _group_for(residual_from_reliability(threshold), groups).index
-            ].append
-            for threshold in task.distinct_thresholds()
-        }
-        for task_id, threshold in zip(task.task_ids, task.thresholds):
-            append_to[threshold](task_id)
-        membership = dict(lists)
+    membership: Dict[int, List[int]] = {group.index: [] for group in groups}
+    append_to = {
+        threshold: membership[
+            _group_for(residual_from_reliability(threshold), groups).index
+        ].append
+        for threshold in task.distinct_thresholds()
+    }
+    for task_id, threshold in zip(task.task_ids, task.thresholds):
+        append_to[threshold](task_id)
     for group in groups:
         if membership[group.index]:
             cover(plan, group.queue, membership[group.index])

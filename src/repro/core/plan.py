@@ -171,7 +171,8 @@ class DecompositionPlan:
         solver: Optional[str] = None,
     ) -> None:
         self._segments: List[PlanSegment] = []
-        #: One-posting templates shared by :meth:`add`, keyed by (bin, width).
+        #: One-posting templates reused by :meth:`add`, keyed by (bin, width):
+        #: postings of equal bins share one template.
         self._posting_templates: Dict[Tuple[TaskBin, int], BlockTemplate] = {}
         self.solver = solver
         for assignment in assignments:
