@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import json
 import signal
 import sys
@@ -84,7 +85,7 @@ from repro.experiments.config import ExperimentConfig, SweepResult
 from repro.experiments.figures import figure_ids, run_figure
 from repro.experiments.motivation import MotivationSeries
 from repro.experiments.report import format_series, format_sweep_table
-from repro.io.serialization import solve_response_to_dict
+from repro.io.serialization import solve_response_to_json
 from repro.service import (
     AdmissionController,
     ServiceConfig,
@@ -404,7 +405,7 @@ def _serve_loop(service: SladeService, stream: TextIO, include_plans: bool) -> i
             else:
                 response = service.solve(request)
         print(
-            json.dumps(solve_response_to_dict(response, include_plan=include_plans)),
+            solve_response_to_json(response, include_plan=include_plans),
             flush=True,
         )
         handled += 1
@@ -471,6 +472,10 @@ def _serve_http(args: argparse.Namespace) -> int:
                 pass
 
         def on_ready(server) -> None:
+            # What exists now (modules, the service, its cache) lives as long
+            # as the process: leave it out of the collector's generations so
+            # a full collection while serving does not rescan it.
+            gc.freeze()
             print(f"listening on http://{server.host}:{server.port}",
                   file=sys.stderr, flush=True)
 

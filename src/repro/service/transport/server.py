@@ -440,12 +440,13 @@ class HttpSladeServer:
             self._inflight_solves -= 1
         # Imported here, matching the engine: repro.io sits above the service
         # layer, so the transport resolves it lazily.
-        from repro.io.serialization import solve_response_to_dict
+        from repro.io.serialization import solve_response_to_json
 
-        body = solve_response_to_dict(
+        text = solve_response_to_json(
             response, include_plan=self._include_plan(request)
         )
-        return self._json_bytes(200, body, keep_alive)
+        self.telemetry.increment("http.responses.200")
+        return render_response(200, text.encode("utf-8"), keep_alive=keep_alive)
 
     async def _respond_solve_batch(
         self, request: HttpRequest, keep_alive: bool

@@ -32,7 +32,12 @@ from repro.core.problem import SladeProblem
 from repro.core.task import AtomicTask, CrowdsourcingTask
 from repro.datasets.jelly import jelly_bin_set
 from repro.datasets.smic import smic_bin_set
-from repro.io.serialization import plan_to_dict, solve_response_to_dict
+from repro.io.serialization import (
+    plan_to_dict,
+    plan_to_json,
+    solve_response_to_dict,
+    solve_response_to_json,
+)
 from repro.service.api import SolveRequest, SolveResponse
 from repro.service.facade import SladeService
 from repro.service.normalize import parse_request_payload
@@ -148,6 +153,7 @@ def assert_same_plan(plan, reference):
     assert plan.bin_usage() == reference.bin_usage()
     assert list(plan) == list(reference)
     assert json.dumps(plan_to_dict(plan)) == json.dumps(plan_to_dict(reference))
+    assert plan_to_json(plan) == json.dumps(plan_to_dict(reference))
 
 
 # -- equivalence ----------------------------------------------------------------
@@ -277,8 +283,55 @@ class TestEquivalence:
             provenance=response.provenance,
         )
         served = solve_response_to_dict(response)
+        assert solve_response_to_json(response) == json.dumps(served)
         served.update(elapsed_seconds=0.0, solve_seconds=0.0)
         assert json.dumps(served) == json.dumps(solve_response_to_dict(reference))
+
+
+class TestSegmentEncoder:
+    """``plan_to_json`` writes postings from block templates, not dicts."""
+
+    def test_overlapping_postings_name_their_slots(self, table1_bins):
+        # A template may post one slot in several bins, out of slot order.
+        template = BlockTemplate(
+            3, ((table1_bins[2], 1, 3), (table1_bins[3], 0, 3), (table1_bins[1], 0, 1))
+        )
+        plan = DecompositionPlan(solver="opq")
+        plan.add_run(template, 4, range(100, 112))
+        plan.add_run(template, 2, [9, 4, 7, 1, 3, 8, 5], offset=1)
+        assert plan_to_json(plan) == json.dumps(plan_to_dict(plan))
+
+    @pytest.mark.parametrize(
+        "task_ids",
+        [["a", "b", "c", "d", "e", "f"], [4, 5, True, 7, 8, 9], list(range(6))],
+        ids=["strings", "bool", "ints"],
+    )
+    def test_runs_of_other_ids_match_json(self, table1_bins, task_ids):
+        # str.format writes True and "a" unlike JSON: such runs take the dicts.
+        template = BlockTemplate(3, ((table1_bins[2], 0, 2), (table1_bins[1], 2, 3)))
+        plan = DecompositionPlan(solver="opq")
+        plan.add_run(template, 2, task_ids)
+        plan.add(table1_bins[3], task_ids[:3])
+        assert plan_to_json(plan) == json.dumps(plan_to_dict(plan))
+
+    def test_empty_plan(self):
+        plan = DecompositionPlan()
+        assert plan_to_json(plan) == json.dumps(plan_to_dict(plan))
+
+    @pytest.mark.parametrize("include_plan", [True, False])
+    def test_responses_with_and_without_plans(self, table1_bins, include_plan):
+        problem = SladeProblem.homogeneous(1000, 0.9, table1_bins)
+        plan = OPQSolver().solve(problem).plan
+        timing = {"cache": "miss", "elapsed_seconds": 0.25, "solve_seconds": 0.125}
+        for response in (
+            SolveResponse(request_id='r "plan": null}', ok=True, solver="opq", plan=plan,
+                          total_cost=plan.total_cost, feasible=True, **timing),
+            SolveResponse(request_id="failed", ok=False, solver=None, plan=None,
+                          total_cost=None, feasible=None, **timing),
+        ):
+            assert solve_response_to_json(response, include_plan) == json.dumps(
+                solve_response_to_dict(response, include_plan)
+            )
 
 
 bin_sets = st.lists(
